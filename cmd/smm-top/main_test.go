@@ -10,6 +10,7 @@ import (
 
 	"scratchmem/internal/cluster"
 	"scratchmem/internal/plancache"
+	"scratchmem/internal/policy"
 	"scratchmem/internal/server"
 )
 
@@ -25,6 +26,11 @@ func fakeOverview() server.OverviewResponse {
 				{Member: "http://c", Alive: aliveC},
 			},
 			Cache: plancache.Stats{Hits: 8, Misses: 2, Entries: 5},
+			Memo: policy.MemoStats{Tiers: [policy.NumTiers]policy.TierStats{
+				{Tier: "estimate", Entries: 4000, Rotations: 1},
+				{Tier: "winner", Entries: 321, Rotations: 2},
+				{Tier: "sweep", Entries: 0},
+			}},
 		}
 	}
 	return server.OverviewResponse{
@@ -67,6 +73,7 @@ func TestOnceTable(t *testing.T) {
 		"1/2", // c: split vote (a says dead, b says alive)
 		"TOTAL",
 		"80.0%", // totals hit ratio 16/20
+		"4321",  // memo entries summed over the tiers
 	} {
 		if !strings.Contains(got, want) {
 			t.Errorf("table missing %q:\n%s", want, got)

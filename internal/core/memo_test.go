@@ -8,6 +8,7 @@ import (
 	"testing"
 
 	"scratchmem/internal/model"
+	"scratchmem/internal/policy"
 	"scratchmem/internal/progress"
 	"scratchmem/internal/smmerr"
 )
@@ -157,5 +158,56 @@ func TestSharedMemoAcrossObjectives(t *testing.T) {
 	}
 	if !reflect.DeepEqual(shared, cold) {
 		t.Fatal("shared-memo latency plan diverges from a cold one")
+	}
+}
+
+// TestBoundedMemoTiers plans ResNet18 through one shared, small memo at
+// far more distinct GLB sizes than any tier holds, in every mode that
+// touches a tier: every tier rotates, stays within its capacity, keeps its
+// chains short, and every plan (or infeasibility error) equals the
+// memo-free planner's.
+func TestBoundedMemoTiers(t *testing.T) {
+	n, _ := model.Builtin("ResNet18")
+	m := policy.NewMemoCap(512) // per generation: 512 estimates, 64 winners, 16 sweep rows
+	ctx := context.Background()
+	plan := func(pl *Planner, hom bool) (*Plan, error) {
+		if hom {
+			return pl.BestHomogeneousCtx(ctx, n, nil)
+		}
+		return pl.HeterogeneousCtx(ctx, n, nil)
+	}
+	const sizes = 150
+	for i := 0; i < sizes; i++ {
+		kb := 8 + 3*i
+		for _, mode := range []struct{ inter, hom bool }{{false, false}, {true, false}, {false, true}} {
+			cached := &Planner{Cfg: policy.Default(kb), InterLayer: mode.inter, Workers: 1}
+			cached.UseMemo(m)
+			ref := &Planner{Cfg: policy.Default(kb), InterLayer: mode.inter, Workers: 1}
+			ref.UseMemo(nil)
+			got, gerr := plan(cached, mode.hom)
+			want, werr := plan(ref, mode.hom)
+			if (gerr == nil) != (werr == nil) || (gerr != nil && gerr.Error() != werr.Error()) {
+				t.Fatalf("%d kB %+v: memoized err %v, memo-free err %v", kb, mode, gerr, werr)
+			}
+			if !reflect.DeepEqual(got, want) {
+				t.Fatalf("%d kB %+v: memoized plan differs from the memo-free plan", kb, mode)
+			}
+		}
+	}
+	for i, ts := range m.Stats().Tiers {
+		if ts.Entries > ts.Capacity || ts.Capacity != 2*m.TierCapacity(i) {
+			t.Errorf("%s tier: %d entries, capacity %d", ts.Tier, ts.Entries, ts.Capacity)
+		}
+		if ts.Rotations == 0 {
+			t.Errorf("%s tier never rotated: the test did not exceed its capacity", ts.Tier)
+		}
+	}
+	// A full generation's mean chain is 8 (memotab's load factor); the
+	// unbounded tables' chains grew with every key ever stored.
+	best := bestCacheFor(m)
+	for tier, chain := range map[string]int{"winner": best.win.LongestChain(), "sweep": best.hom.LongestChain()} {
+		if chain > 24 {
+			t.Errorf("%s tier: longest chain %d, want <= 24", tier, chain)
+		}
 	}
 }

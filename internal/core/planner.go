@@ -129,16 +129,30 @@ func (pl *Planner) bestLayerInto(e *policy.Result, l *layer.Layer, resident, kee
 	}
 	k := bestKey{shape: policy.KeyOf(l), cfg: pl.Cfg,
 		noPrefetch: pl.DisablePrefetch, resident: resident, keep: keep}
-	if p := pl.best.get(&k); p != nil {
+	pl.bestCached(e, l, &k)
+}
+
+// bestCached answers the winner question k about l from the shared winner
+// table, sweeping and storing the pair on a miss. Stored pairs are
+// name-free (keys are shapes); the caller's layer name is patched onto e.
+func (pl *Planner) bestCached(e *policy.Result, l *layer.Layer, k *bestKey) {
+	h := k.hash()
+	if p := pl.best.win.Get(h, k); p != nil {
 		pl.Memo.CountHit()
 		*e = p[objIndex(pl.Objective)]
 		e.Layer = l.Name
 		return
 	}
 	pl.Memo.CountMiss()
-	p := pl.bestForLayerDirect(l, resident, keep)
+	var p bestPair
+	if k.fallback {
+		p = pl.bestFallbackDirect(l)
+	} else {
+		p = pl.bestForLayerDirect(l, k.resident, k.keep)
+	}
 	*e = p[objIndex(pl.Objective)]
-	pl.best.put(&k, &p)
+	p[0].Layer, p[1].Layer = "", ""
+	pl.best.win.Put(h, k, &p)
 }
 
 func (pl *Planner) bestForLayerDirect(l *layer.Layer, resident, keep bool) bestPair {
@@ -483,16 +497,7 @@ func (pl *Planner) bestFallbackInto(e *policy.Result, l *layer.Layer) {
 	}
 	k := bestKey{shape: policy.KeyOf(l), cfg: pl.Cfg,
 		noPrefetch: pl.DisablePrefetch, fallback: true}
-	if p := pl.best.get(&k); p != nil {
-		pl.Memo.CountHit()
-		*e = p[objIndex(pl.Objective)]
-		e.Layer = l.Name
-		return
-	}
-	pl.Memo.CountMiss()
-	p := pl.bestFallbackDirect(l)
-	*e = p[objIndex(pl.Objective)]
-	pl.best.put(&k, &p)
+	pl.bestCached(e, l, &k)
 }
 
 func (pl *Planner) bestFallbackDirect(l *layer.Layer) bestPair {
@@ -664,8 +669,10 @@ func (pl *Planner) bestHomogeneousFast(ctx context.Context, n *model.Network) (*
 		}
 		l := &n.Layers[li]
 		k := homKey{shape: policy.KeyOf(l), cfg: pl.Cfg, noPrefetch: pl.DisablePrefetch}
+		var h uint64
 		if pl.best != nil {
-			if row := pl.best.homGet(&k); row != nil {
+			h = k.hash()
+			if row := pl.best.hom.Get(h, &k); row != nil {
 				pl.Memo.CountHit()
 				contribs[si] = *row
 				return nil
@@ -692,7 +699,7 @@ func (pl *Planner) bestHomogeneousFast(ctx context.Context, n *model.Network) (*
 		}
 		contribs[si] = row
 		if pl.best != nil {
-			pl.best.homPut(&k, &row)
+			pl.best.hom.Put(h, &k, &row)
 		}
 		return nil
 	})

@@ -2,10 +2,10 @@ package policy
 
 import (
 	"context"
-
 	"sync/atomic"
 
 	"scratchmem/internal/layer"
+	"scratchmem/internal/memotab"
 )
 
 // LayerKey is the canonical shape identity of a layer: every geometric
@@ -44,72 +44,85 @@ type memoKey struct {
 // sentinel is unambiguous.
 const memoAutoN = int64(-1)
 
-// memoBuckets sizes the table's fixed bucket array. One planning run
-// touches at most a few thousand distinct keys (unique shapes × policy
-// variants × ladder rungs), so 1024 buckets keep chains a handful long
-// while the zeroed array costs one allocation in NewMemo.
-const memoBuckets = 1024
-
-// memoEntry is one stored estimate. Entries are immutable once published
-// and chain off their bucket head, so readers need no lock: a bucket probe
-// is one atomic pointer load plus a short walk, and the publishing CAS
-// gives the reader a happens-before edge to the entry's fields.
-type memoEntry struct {
-	key  memoKey
-	r    Result
-	next *memoEntry
+func (k *memoKey) hash() uint64 {
+	opts := Bits(k.opts.Prefetch, k.opts.ResidentIfmap, k.opts.KeepOfmap)
+	return KeyHash(&k.shape, &k.cfg, uint64(k.id)|opts<<8|uint64(k.n)<<16)
 }
 
-// memoBlockLen sizes the entry arena's blocks: one mid-size allocation
-// amortised over sixteen stores instead of sixteen small ones.
-const memoBlockLen = 16
-
-// memoBlock is a chunk of entry storage. Slots are claimed with an atomic
-// counter and never freed individually — the table only grows, and the
-// whole arena dies with it — so claimed entries stay address-stable for
-// the bucket chains.
-type memoBlock struct {
-	used atomic.Int64
-	e    [memoBlockLen]memoEntry
+// Bits packs flags into a word for KeyHash's extra bits, first flag lowest.
+func Bits(flags ...bool) uint64 {
+	var w uint64
+	for i, f := range flags {
+		if f {
+			w |= 1 << i
+		}
+	}
+	return w
 }
 
-// Memo is a concurrency-safe estimate table. One table is shared across a
-// whole planning run (core.Planner and the degradation-ladder copies made
-// from it), so the dynamic program's (resident, keep) re-probes and every
-// repeated layer shape cost one estimation and then a lock-free probe.
+// KeyHash mixes a layer shape, an accelerator configuration and one word
+// of caller-specific key bits into the 64-bit hash every memo tier indexes
+// by: each tier's key is (shape, config, a few small fields), so one helper
+// serves them all. Colliding extra bits only cost a key comparison.
+func KeyHash(s *LayerKey, cfg *Config, extra uint64) uint64 {
+	const prime = 1099511628211
+	if cfg.IncludePadding {
+		extra ^= 1 << 63
+	}
+	h := uint64(14695981039346656037)
+	h = (h ^ uint64(s.Kind)) * prime
+	h = (h ^ uint64(s.IH)) * prime
+	h = (h ^ uint64(s.IW)) * prime
+	h = (h ^ uint64(s.CI)) * prime
+	h = (h ^ uint64(s.FH)) * prime
+	h = (h ^ uint64(s.FW)) * prime
+	h = (h ^ uint64(s.F)) * prime
+	h = (h ^ uint64(s.S)) * prime
+	h = (h ^ uint64(s.P)) * prime
+	h = (h ^ uint64(cfg.GLBBytes)) * prime
+	h = (h ^ uint64(cfg.DataWidthBits)) * prime
+	h = (h ^ uint64(cfg.OpsPerCycle)) * prime
+	h = (h ^ uint64(cfg.DRAMBytesPerCycle)) * prime
+	h = (h ^ uint64(cfg.Batch)) * prime
+	h = (h ^ extra) * prime
+	// Fold the high bits down: tables index buckets by the low bits, which
+	// FNV alone leaves poorly mixed for keys differing in one high field.
+	return h ^ h>>32
+}
+
+// Memo tiers, indexing MemoStats.Tiers: the estimate table itself, and the
+// core planner's winner and sweep-row tables in its Companion.
+const (
+	TierEstimate = iota
+	TierWinner
+	TierSweep
+	NumTiers
+)
+
+// tierNames label the tiers on /metrics and in the status document.
+var tierNames = [NumTiers]string{"estimate", "winner", "sweep"}
+
+// runMemoEntries is NewMemo's estimate-tier capacity per generation: one
+// planning run touches at most a few thousand distinct keys (unique shapes
+// × policy variants × ladder rungs), so one run never rotates.
+const runMemoEntries = 4096
+
+// Memo is a concurrency-safe, bounded estimate table (see memotab). One
+// table is shared across a whole planning run (core.Planner and the
+// degradation-ladder copies made from it) or a server's lifetime, so the
+// dynamic program's (resident, keep) re-probes and every repeated layer
+// shape cost one estimation and then a lock-free probe.
 //
 // A nil *Memo is valid and computes directly, so call sites never need a
 // nil check; that nil path is also the sequential reference the golden
 // equivalence tests compare against.
 type Memo struct {
-	hits, misses, count atomic.Int64
+	hits, misses atomic.Int64
 	// companion holds one opaque caller-attached cache (see Companion).
 	companion atomic.Value
-	// maxEntries caps the table (0 = unbounded). Past the cap new entries
-	// are computed but not stored, so a long-lived table (the server's)
-	// stays bounded while still answering correctly.
-	maxEntries int64
-	// buckets is allocated on first store: a planner that never probes the
-	// estimate table (the heterogeneous path caches whole sweeps in its
-	// companion instead) pays nothing for it.
-	buckets atomic.Pointer[[memoBuckets]atomic.Pointer[memoEntry]]
-	blk     atomic.Pointer[memoBlock]
-}
-
-// alloc claims one entry slot from the current block, starting a new block
-// when the current one is exhausted. A slot claimed by a store that then
-// loses a duplicate race is abandoned — blocks are bulk storage, not a
-// free list.
-func (m *Memo) alloc() *memoEntry {
-	for {
-		b := m.blk.Load()
-		if b != nil {
-			if i := b.used.Add(1) - 1; i < memoBlockLen {
-				return &b.e[i]
-			}
-		}
-		m.blk.CompareAndSwap(b, &memoBlock{})
-	}
+	// capacity is est's per-generation capacity (see TierCapacity).
+	capacity int
+	est      memotab.Table[memoKey, Result]
 }
 
 // Companion returns the opaque cache attached to this table, installing
@@ -128,26 +141,58 @@ func (m *Memo) Companion(create func() any) any {
 	return m.companion.Load()
 }
 
-// NewMemo returns an unbounded table, sized for one planning run.
-func NewMemo() *Memo { return &Memo{} }
+// NewMemo returns a table sized for one planning run.
+func NewMemo() *Memo { return NewMemoCap(runMemoEntries) }
 
-// NewMemoCap returns a table bounded to roughly maxEntries entries (the
-// bound is advisory: concurrent stores may overshoot by a few); 0 or
-// negative means unbounded. Past the bound, lookups still hit existing
-// entries and misses compute without storing.
+// NewMemoCap returns a table whose estimate tier holds at most maxEntries
+// entries per generation, 2×maxEntries in all (0 or negative selects
+// NewMemo's size). Past the bound the oldest generation is dropped; its
+// entries are recomputed on their next miss, so answers never change.
 func NewMemoCap(maxEntries int) *Memo {
-	m := &Memo{}
-	if maxEntries > 0 {
-		m.maxEntries = int64(maxEntries)
+	if maxEntries <= 0 {
+		maxEntries = runMemoEntries
 	}
+	m := &Memo{capacity: maxEntries}
+	m.est.Init(maxEntries)
 	return m
 }
 
-// MemoStats is a point-in-time snapshot of the table's counters.
+// TierCapacity returns the per-generation capacity of a tier. The winner
+// tier's keys are (shape, config, variant) questions, each answering a
+// sweep of about a dozen estimate keys, so it gets an eighth of the
+// estimate tier; the sweep-row tier, one row per (shape, config), a
+// thirty-second.
+func (m *Memo) TierCapacity(tier int) int {
+	switch tier {
+	case TierWinner:
+		return max(m.capacity/8, 1)
+	case TierSweep:
+		return max(m.capacity/32, 1)
+	}
+	return m.capacity
+}
+
+// TierStats sizes one memo tier.
+type TierStats struct {
+	Tier      string `json:"tier"`
+	Entries   int    `json:"entries"`
+	Capacity  int    `json:"capacity"`
+	Rotations int64  `json:"rotations"`
+}
+
+// TierSizer is implemented by a Companion holding memo tiers of its own;
+// Stats asks it to fill in their entries and rotations.
+type TierSizer interface {
+	SizeTiers(t *[NumTiers]TierStats)
+}
+
+// MemoStats is a point-in-time snapshot of the table's counters. Hits and
+// Misses count every tier; Entries is the estimate tier's entry count.
 type MemoStats struct {
-	Hits    int64 `json:"hits"`
-	Misses  int64 `json:"misses"`
-	Entries int   `json:"entries"`
+	Hits    int64               `json:"hits"`
+	Misses  int64               `json:"misses"`
+	Entries int                 `json:"entries"`
+	Tiers   [NumTiers]TierStats `json:"tiers"`
 }
 
 // CountHit folds one companion-cache hit into the memo's counters, so the
@@ -167,16 +212,22 @@ func (m *Memo) CountMiss() {
 	}
 }
 
-// Stats snapshots the hit/miss counters and entry count. Nil-safe.
+// Stats snapshots the hit/miss counters and every tier's size. Nil-safe.
 func (m *Memo) Stats() MemoStats {
 	if m == nil {
 		return MemoStats{}
 	}
-	return MemoStats{
-		Hits:    m.hits.Load(),
-		Misses:  m.misses.Load(),
-		Entries: int(m.count.Load()),
+	st := MemoStats{Hits: m.hits.Load(), Misses: m.misses.Load()}
+	for i := range st.Tiers {
+		st.Tiers[i] = TierStats{Tier: tierNames[i], Capacity: 2 * m.TierCapacity(i)}
 	}
+	es := m.est.Stats()
+	st.Entries = es.Entries
+	st.Tiers[TierEstimate].Entries, st.Tiers[TierEstimate].Rotations = es.Entries, es.Rotations
+	if ts, ok := m.companion.Load().(TierSizer); ok {
+		ts.SizeTiers(&st.Tiers)
+	}
+	return st
 }
 
 // Estimate is the memoized form of Estimate, with EstimateFast's sweep
@@ -235,15 +286,7 @@ func (m *Memo) EstimateN(l *layer.Layer, id ID, o Options, cfg Config, n int64) 
 		n = 1
 	}
 	k := memoKey{shape: KeyOf(l), id: id, opts: o, cfg: cfg, n: n}
-	h := k.hash()
-	if e := m.lookup(&k, h); e != nil {
-		r := *e
-		r.Layer = l.Name
-		return r
-	}
-	r := EstimateN(l, id, o, cfg, n)
-	m.store(&k, h, &r)
-	return r
+	return m.cached(l, &k, func() Result { return EstimateN(l, id, o, cfg, n) })
 }
 
 // Fallback is the memoized form of FallbackEstimate.
@@ -252,107 +295,39 @@ func (m *Memo) Fallback(l *layer.Layer, o Options, cfg Config) Result {
 		return FallbackEstimate(l, o, cfg)
 	}
 	k := memoKey{shape: KeyOf(l), id: FallbackTiled, opts: o, cfg: cfg}
+	return m.cached(l, &k, func() Result { return FallbackEstimate(l, o, cfg) })
+}
+
+// cached answers k for layer l from the table, or computes and stores it.
+func (m *Memo) cached(l *layer.Layer, k *memoKey, compute func() Result) Result {
 	h := k.hash()
-	if e := m.lookup(&k, h); e != nil {
+	if e := m.lookup(k, h); e != nil {
 		r := *e
 		r.Layer = l.Name
 		return r
 	}
-	r := FallbackEstimate(l, o, cfg)
-	m.store(&k, h, &r)
+	r := compute()
+	m.store(k, h, &r)
 	return r
 }
 
 // lookup returns the stored result for k, or nil. The pointee is shared
 // and immutable; callers copy it (patching the layer name on the copy).
 func (m *Memo) lookup(k *memoKey, h uint64) *Result {
-	t := m.buckets.Load()
-	if t == nil {
-		m.misses.Add(1)
-		return nil
-	}
-	b := &t[h&(memoBuckets-1)]
-	for e := b.Load(); e != nil; e = e.next {
-		if e.key == *k {
-			m.hits.Add(1)
-			return &e.r
-		}
+	if r := m.est.Get(h, k); r != nil {
+		m.hits.Add(1)
+		return r
 	}
 	m.misses.Add(1)
 	return nil
 }
 
+// store publishes r under k without its layer name: keys are name-free,
+// and hits patch the caller's name back.
 func (m *Memo) store(k *memoKey, h uint64, r *Result) {
-	if m.maxEntries > 0 && m.count.Load() >= m.maxEntries {
-		return
-	}
-	t := m.buckets.Load()
-	if t == nil {
-		nt := new([memoBuckets]atomic.Pointer[memoEntry])
-		if !m.buckets.CompareAndSwap(nil, nt) {
-			t = m.buckets.Load()
-		} else {
-			t = nt
-		}
-	}
-	e := m.alloc()
-	e.key, e.r = *k, *r
-	e.r.Layer = "" // the key is name-free; hits patch the caller's name back
-	b := &t[h&(memoBuckets-1)]
-	for {
-		head := b.Load()
-		// A racer may have published the key since our lookup; equal keys
-		// carry equal values, so skip the duplicate to keep chains and the
-		// entry count tight.
-		for dup := head; dup != nil; dup = dup.next {
-			if dup.key == *k {
-				return
-			}
-		}
-		e.next = head
-		if b.CompareAndSwap(head, e) {
-			m.count.Add(1)
-			return
-		}
-	}
-}
-
-// hash mixes every key field FNV-1a style; shard selection and the shard
-// map consume it, so distribution matters more than avalanche quality.
-func (k *memoKey) hash() uint64 {
-	const prime = 1099511628211
-	h := uint64(14695981039346656037)
-	h = (h ^ uint64(k.shape.Kind)) * prime
-	h = (h ^ uint64(k.shape.IH)) * prime
-	h = (h ^ uint64(k.shape.IW)) * prime
-	h = (h ^ uint64(k.shape.CI)) * prime
-	h = (h ^ uint64(k.shape.FH)) * prime
-	h = (h ^ uint64(k.shape.FW)) * prime
-	h = (h ^ uint64(k.shape.F)) * prime
-	h = (h ^ uint64(k.shape.S)) * prime
-	h = (h ^ uint64(k.shape.P)) * prime
-	h = (h ^ uint64(k.id)) * prime
-	var ob uint64
-	if k.opts.Prefetch {
-		ob |= 1
-	}
-	if k.opts.ResidentIfmap {
-		ob |= 2
-	}
-	if k.opts.KeepOfmap {
-		ob |= 4
-	}
-	if k.cfg.IncludePadding {
-		ob |= 8
-	}
-	h = (h ^ ob) * prime
-	h = (h ^ uint64(k.cfg.GLBBytes)) * prime
-	h = (h ^ uint64(k.cfg.DataWidthBits)) * prime
-	h = (h ^ uint64(k.cfg.OpsPerCycle)) * prime
-	h = (h ^ uint64(k.cfg.DRAMBytesPerCycle)) * prime
-	h = (h ^ uint64(k.cfg.Batch)) * prime
-	h = (h ^ uint64(k.n)) * prime
-	return h
+	v := *r
+	v.Layer = ""
+	m.est.Put(h, k, &v)
 }
 
 // memoCtxKey carries a *Memo through a context (see WithMemo).

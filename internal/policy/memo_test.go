@@ -86,30 +86,38 @@ func TestMemoEstimateNSharesNormalizedKeys(t *testing.T) {
 	}
 }
 
-// TestMemoCap: past the bound lookups still hit existing entries but
-// misses stop storing.
+// TestMemoCap: past the per-generation bound the table rotates: the full
+// generation becomes the previous one and still answers, the one before it
+// is dropped, and a dropped key is recomputed correctly.
 func TestMemoCap(t *testing.T) {
 	layers := memoTestLayers(t)
 	cfg := Default(64)
 	m := NewMemoCap(1)
-	l0, l1 := &layers[0], &layers[2]
-	if KeyOf(l0) == KeyOf(l1) {
+	l0, l1, l2 := &layers[0], &layers[2], &layers[len(layers)-1]
+	if KeyOf(l0) == KeyOf(l1) || KeyOf(l1) == KeyOf(l2) || KeyOf(l0) == KeyOf(l2) {
 		t.Fatal("test layers share a shape; pick distinct ones")
 	}
 	m.Estimate(l0, IntraLayer, Options{}, cfg)
-	m.Estimate(l1, IntraLayer, Options{}, cfg) // past the cap: not stored
-	if st := m.Stats(); st.Entries != 1 {
-		t.Fatalf("entries = %d, want the cap of 1", st.Entries)
+	m.Estimate(l1, IntraLayer, Options{}, cfg) // past the cap: rotates
+	if st := m.Stats().Tiers[TierEstimate]; st.Entries != 2 || st.Rotations != 1 || st.Capacity != 2 {
+		t.Fatalf("estimate tier %+v, want 2 entries in 2 generations of 1 after 1 rotation", st)
 	}
 	before := m.Stats().Hits
 	m.Estimate(l0, IntraLayer, Options{}, cfg)
 	if m.Stats().Hits != before+1 {
-		t.Fatal("capped table stopped answering stored entries")
+		t.Fatal("capped table stopped answering its previous generation")
 	}
-	// The uncached shape still computes correctly.
-	got := m.Estimate(l1, IntraLayer, Options{}, cfg)
-	if want := EstimateFast(l1, IntraLayer, Options{}, cfg); !reflect.DeepEqual(got, want) {
+	m.Estimate(l2, IntraLayer, Options{}, cfg) // rotates again: l0 dropped
+	before = m.Stats().Hits
+	got := m.Estimate(l0, IntraLayer, Options{}, cfg)
+	if m.Stats().Hits != before {
+		t.Fatal("a key two rotations old still hit")
+	}
+	if want := EstimateFast(l0, IntraLayer, Options{}, cfg); !reflect.DeepEqual(got, want) {
 		t.Fatalf("capped miss: %+v != %+v", got, want)
+	}
+	if st := m.Stats(); st.Entries != 2 || st.Tiers[TierEstimate].Rotations != 3 {
+		t.Fatalf("stats %+v, want 2 entries after 3 rotations", st)
 	}
 }
 

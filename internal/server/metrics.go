@@ -323,6 +323,15 @@ func (m *metrics) write(w io.Writer, cs plancache.Stats, ms policy.MemoStats, ps
 	fmt.Fprintf(w, "smm_estimate_memo_hits_total %d\n", ms.Hits)
 	fmt.Fprintf(w, "smm_estimate_memo_misses_total %d\n", ms.Misses)
 	fmt.Fprintf(w, "smm_estimate_memo_entries %d\n", ms.Entries)
+	for _, t := range ms.Tiers {
+		fmt.Fprintf(w, "smm_memo_entries{tier=%q} %d\n", t.Tier, t.Entries)
+	}
+	for _, t := range ms.Tiers {
+		fmt.Fprintf(w, "smm_memo_capacity{tier=%q} %d\n", t.Tier, t.Capacity)
+	}
+	for _, t := range ms.Tiers {
+		fmt.Fprintf(w, "smm_memo_rotations_total{tier=%q} %d\n", t.Tier, t.Rotations)
+	}
 	fmt.Fprintf(w, "smm_inflight_executions %d\n", inflight)
 	fmt.Fprintf(w, "smm_worker_slots %d\n", workers)
 	fmt.Fprintf(w, "smm_spans_finished_total %d\n", spans)

@@ -110,11 +110,13 @@ const (
 	// DefaultSpanRing is how many finished spans the server's own tracer
 	// retains for GET /v1/spans when Config.Tracer is nil.
 	DefaultSpanRing = 256
-	// DefaultMemoEntries caps the server-lifetime estimate memo. An entry
-	// is a few hundred bytes, so the cap bounds the table at tens of MB
-	// while comfortably holding every shape of the built-in model set many
-	// configurations over.
-	DefaultMemoEntries = 1 << 16
+	// DefaultMemoEntries sizes the server-lifetime memo: its estimate tier
+	// holds this many entries per generation, twice that in all, and the
+	// winner and sweep-row tiers scale from it (policy.Memo.TierCapacity)
+	// to 4,096 and 1,024 per generation, enough for a neighbor sweep's
+	// working set. An estimate entry is a few hundred bytes, so the memo
+	// stays within tens of MB whatever traffic the server sees.
+	DefaultMemoEntries = 1 << 15
 )
 
 // Server wires the public scratchmem API behind HTTP handlers with a
